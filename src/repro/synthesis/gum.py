@@ -19,9 +19,10 @@ The per-marginal update step is executed by a pluggable
 :mod:`repro.synthesis.kernels`): ``reference`` (the original per-cell loop,
 the golden oracle), ``vectorized`` (whole-step numpy passes over cached
 codes/counts), ``numba`` (JIT-compiled nogil cache maintenance, available
-only when numba imports), and ``fused`` (single pass over precomputed
-per-marginal cell codes — radix grouping, broadcast refill draws, one
-matmul-plus-bincount cache patch).  Every kernel consumes the random
+only when numba imports), and ``fused`` (the vectorized step over one
+row-major ``(n, marginals)`` code matrix in the narrowest unsigned dtype —
+radix grouping of one code column, broadcast refill draws, one
+matmul-plus-bincount cache patch with a contiguous row scatter).  Every kernel consumes the random
 stream identically and produces bit-identical output, so kernel choice is
 purely a speed decision; ``"auto"`` resolves fused → numba → vectorized →
 reference.
@@ -65,8 +66,9 @@ class GumConfig:
     tol: float = 1e-4
     patience: int = 5
     #: Which update-step kernel to use: a registered kernel name
-    #: (``"vectorized"``, ``"reference"``, ``"numba"``) or ``"auto"`` (the
-    #: fastest available kernel; all kernels are bit-identical, so this
+    #: (``"fused"``, ``"numba"``, ``"vectorized"``, ``"reference"``) or
+    #: ``"auto"`` (the fastest available kernel, resolved fused → numba →
+    #: vectorized → reference; all kernels are bit-identical, so this
     #: never changes output).  Engine callers normally select the kernel
     #: through ``EngineConfig(kernel=...)`` instead; a non-auto value here
     #: acts as a legacy pin that engine ``auto`` resolution honors.

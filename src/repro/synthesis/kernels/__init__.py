@@ -1,18 +1,20 @@
 """Pluggable GUM compute kernels: one update semantics, many speeds.
 
 The GUM record-update hot path is expressed as a :class:`GumKernel` with
-three registered implementations:
+four registered implementations:
 
 - ``reference`` — the original per-cell Python loop, kept verbatim as the
   golden oracle (:mod:`~repro.synthesis.kernels.reference`);
 - ``vectorized`` — whole-step numpy passes over cached per-marginal codes
-  and counts (:mod:`~repro.synthesis.kernels.vectorized`);
+  and counts, cell offsets read off the cached counts
+  (:mod:`~repro.synthesis.kernels.vectorized`);
 - ``numba`` — the vectorized kernel with an ``@njit(nogil=True)`` cache
   patch, registered as *available* only when numba imports
   (:mod:`~repro.synthesis.kernels.numba_kernel`);
-- ``fused`` — one pass over a fused (marginals x records) code matrix per
-  step: radix-sorted grouping, a single bounds-broadcast duplication draw,
-  and a one-``bincount`` cache patch for every marginal at once, with
+- ``fused`` — the vectorized step over a row-major (records x marginals)
+  code matrix in the narrowest unsigned dtype: radix-sorted grouping of
+  one code column, a single bounds-broadcast duplication
+  draw, and a one-``bincount`` cache patch for every marginal at once, with
   compiled twins when numba is present
   (:mod:`~repro.synthesis.kernels.fused`).
 

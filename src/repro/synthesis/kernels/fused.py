@@ -1,38 +1,39 @@
-"""The fused GUM kernel: one pass over precomputed cell codes per step.
+"""The fused GUM kernel: one row-major code cache shared by every marginal.
 
-Extends :class:`~repro.synthesis.kernels.vectorized.VectorizedKernel` — the
-RNG-consuming orchestration is inherited, so the bit-identity contract holds
-by construction — and collapses the three remaining per-step passes (row
-grouping, the per-cell duplication draws, the per-marginal cache patch) into
-fused single-pass forms:
+Inherits :class:`~repro.synthesis.kernels.vectorized.VectorizedKernel`'s
+step — the RNG-consuming orchestration, with each cell's row range read off
+the cached counts (``cumsum(counts) - counts``) — and replaces its per-run
+cache and the hooks around that step:
 
-- **grouping** — cell codes are cast to ``uint16`` whenever the marginal has
-  at most :data:`RADIX_MAX_CELLS` cells (every NetDPSyn marginal does: the
-  largest ToN marginal has ~2.7k cells), which flips numpy's stable
-  ``argsort`` onto its O(n) radix path — ~6x faster than the int64
-  comparison sort and bit-identical, since casting in-range codes preserves
-  order exactly.  With numba present the compiled O(n + cells) counting sort
-  from PR 4 is used instead, with its scratch reused across steps;
+- **code matrix** — every marginal's cell codes live in one row-major
+  ``(n, M)`` matrix in the narrowest unsigned dtype that holds the largest
+  marginal (``uint16`` for every NetDPSyn marginal: the largest ToN
+  marginals have a few thousand cells).  Each marginal's ``state.codes`` is
+  a column view.  The M codes of one row share a cache line, so the
+  patch's gather and scatter over the freed rows touch one line per row,
+  and a ``uint16`` column sorts on numpy's O(n) radix path with no per-step
+  cast (in-range codes order exactly like their int64 values).  Wider
+  marginals take a wider dtype and the comparison sort — same grouping;
 - **duplication draws** — the reference consumes one
   ``rng.integers(0, match, size=n_dup)`` call per refilled cell; a single
   ``rng.integers(0, bounds)`` call with the per-cell bounds repeated
   per-slot consumes the *identical* stream (PCG64 draws one bounded word per
   element either way — pinned by the parity suite against future numpy
   changes) at ~1/100th of the Python dispatch cost;
-- **cache patch** — instead of re-coding the freed rows once per marginal,
-  all marginal codes live in one ``(M, n)`` matrix and all counts in one
-  flat arena with per-marginal offsets.  The new codes of the freed rows for
-  *every* marginal come from one BLAS matmul against an
-  ``(attrs, M)`` stride matrix (float64 products of in-domain codes are
-  < 2^53, so the round-trip through float is exact), and the counts patch is
-  ONE signed-weight ``bincount`` over offset-shifted codes instead of M of
-  them.  With numba present the per-marginal ``@njit(nogil=True)`` patch
-  loop (PR 4's twin) is used instead.
+- **cache patch** — the new codes of the freed rows for *every* marginal
+  come from one BLAS matmul against an ``(attrs, M)`` stride matrix (float64
+  products of in-domain codes are < 2^53, so the round-trip through float
+  is exact); the counts, one flat arena with per-marginal offsets, take ONE
+  signed-weight ``bincount`` over the offset-shifted old and new codes; the
+  new codes go back as a contiguous row scatter.
 
-``fused`` is the new head of the ``auto`` resolution order.  Like every
-kernel it is bit-identical to ``reference``; on the 50k-record ToN workload
-it runs >= 3x faster single-core (the benchmark gate in
-``benchmarks/bench_engine_scaling.py``).
+With numba present the grouping and the patch swap in the ``@njit(nogil=True)``
+twins of :mod:`~repro.synthesis.kernels.numba_kernel`, driven over the
+columns of the same matrix.
+
+``fused`` is the head of the ``auto`` resolution order; on the 50k-record
+ToN workload it runs >= 3x faster than ``reference`` single-core (the
+benchmark gate in ``benchmarks/bench_engine_scaling.py``).
 """
 
 from __future__ import annotations
@@ -49,12 +50,14 @@ from repro.synthesis.kernels.numba_kernel import (
 )
 from repro.synthesis.kernels.vectorized import VectorizedKernel
 
-#: Largest marginal size (cells) that still groups via uint16 radix sort.
-RADIX_MAX_CELLS = int(np.iinfo(np.uint16).max)
+
+def code_dtype(max_cells: int) -> np.dtype:
+    """Narrowest unsigned dtype holding every code of a ``max_cells`` marginal."""
+    return np.min_scalar_type(max(int(max_cells) - 1, 0))
 
 
 class FusedKernel(VectorizedKernel):
-    """Single-pass grouping + draws + cache patch over fused per-run state."""
+    """The vectorized step over a row-major code matrix and a counts arena."""
 
     name = "fused"
     uses_cache = True
@@ -63,7 +66,8 @@ class FusedKernel(VectorizedKernel):
         """Build the fused per-run state: code matrix, counts arena, strides.
 
         Each marginal's ``codes``/``counts`` are re-bound to views into the
-        fused storage, so the inherited ``step`` orchestration (which reads
+        fused storage (a column of the code matrix, a slice of the arena),
+        so the inherited ``step`` orchestration (which reads
         ``state.codes``/``state.counts``) sees exactly the per-marginal
         caches it expects while the patch below updates them all at once.
         """
@@ -72,23 +76,21 @@ class FusedKernel(VectorizedKernel):
         sizes = np.array([state.target.size for state in states], dtype=np.int64)
         offsets = np.zeros(m, dtype=np.int64)
         np.cumsum(sizes[:-1], out=offsets[1:])
-        total = int(sizes.sum())
-        codes = np.empty((m, n), dtype=np.int64)
-        counts = np.zeros(total, dtype=np.float64)
+        codes = np.empty((n, m), dtype=code_dtype(sizes.max()))
+        counts = np.zeros(int(sizes.sum()), dtype=np.float64)
         strides = np.zeros((n_attrs, m), dtype=np.float64)
         for k, state in enumerate(states):
-            codes[k] = cell_codes(data[:, state.axes], state.shape)
-            view = counts[offsets[k] : offsets[k] + sizes[k]]
-            view[...] = np.bincount(codes[k], minlength=int(sizes[k]))
-            state.codes = codes[k]
-            state.counts = view
+            column = cell_codes(data[:, state.axes], state.shape)
+            codes[:, k] = column
+            state.codes = codes[:, k]
+            state.counts = counts[offsets[k] : offsets[k] + sizes[k]]
+            state.counts[...] = np.bincount(column, minlength=int(sizes[k]))
             strides[state.axes, k] = _strides_for(state.shape)
         self._codes = codes
+        self._code_rows = codes.view(np.dtype((np.void, codes.itemsize * m))).ravel()
         self._counts = counts
         self._offsets = offsets
         self._strides = strides
-        self._total = total
-        self._m = m
         self._jit = numba_available()
         if self._jit:
             self._axes = [
@@ -97,17 +99,16 @@ class FusedKernel(VectorizedKernel):
             self._int_strides = [_strides_for(state.shape) for state in states]
 
     def _group_rows(self, codes, perm, size):
+        """``perm`` grouped by cell over one column of the code matrix.
+
+        numpy's stable sort is a radix sort on 8/16-bit codes and a
+        comparison sort (timsort) on wider ones; the compiled twin is a
+        stable counting sort.  All three give the same grouping.
+        """
         if self._jit:
             group = _compiled("group_rows", _group_rows_py)
             return group(codes, perm, np.int64(size))
-        cp = codes[perm]
-        if size <= RADIX_MAX_CELLS:
-            # uint16 keys take numpy's O(n) radix path; in-range casting is
-            # order-preserving, so the stable grouping is bit-identical.
-            order = np.argsort(cp.astype(np.uint16), kind="stable")
-        else:  # pragma: no cover - no shipped marginal exceeds 65535 cells
-            order = np.argsort(cp, kind="stable")
-        return perm[order], cp[order]
+        return super()._group_rows(codes, perm, size)
 
     def _dup_offsets(self, rng, match, n_dup, dup_idx):
         """All per-cell duplication draws as one bounds-broadcast call.
@@ -120,25 +121,31 @@ class FusedKernel(VectorizedKernel):
         return rng.integers(0, np.repeat(match[dup_idx], n_dup[dup_idx]))
 
     def _apply_updates(self, data, states, freed):
-        k = freed.shape[0]
-        if k == 0:
-            return
+        """Re-code the rewritten ``freed`` rows for every marginal at once.
+
+        Integer deltas on float64 counts are exact, so the arena stays equal
+        to a fresh ``bincount`` of the code matrix.
+        """
         if self._jit:
             patch = _compiled("patch_rows", _patch_rows_py)
             rows = np.ascontiguousarray(freed, dtype=np.int64)
             for state, axes, strides in zip(states, self._axes, self._int_strides):
                 patch(data, rows, axes, strides, state.codes, state.counts)
             return
-        m = self._m
+        codes = self._codes
+        size = freed.shape[0] * codes.shape[1]
         # One matmul re-codes the freed rows for every marginal: exact,
         # because every product and partial sum is an integer < 2^53.
-        new_codes = (data[freed].astype(np.float64) @ self._strides).astype(np.int64)
-        off = self._offsets[:, None]
-        flat = np.empty((2, m, k), dtype=np.int64)
-        np.add(new_codes.T, off, out=flat[0])
-        np.add(self._codes[:, freed], off, out=flat[1])
-        weights = np.empty(2 * m * k, dtype=np.float64)
-        weights[: m * k] = 1.0
-        weights[m * k :] = -1.0
-        self._counts += np.bincount(flat.ravel(), weights=weights, minlength=self._total)
-        self._codes[:, freed] = new_codes.T
+        rows = data.take(freed, axis=0).astype(np.float64)
+        new = (rows @ self._strides).astype(codes.dtype)
+        shifted = np.empty((2,) + new.shape, dtype=np.int64)
+        np.add(new, self._offsets, out=shifted[0])
+        np.add(codes.take(freed, axis=0), self._offsets, out=shifted[1])
+        weights = np.empty(2 * size, dtype=np.float64)
+        weights[:size] = 1.0
+        weights[size:] = -1.0
+        self._counts += np.bincount(
+            shifted.ravel(), weights=weights, minlength=self._counts.size
+        )
+        # Contiguous row scatter: a freed row's M codes move as one item.
+        self._code_rows[freed] = new.view(self._code_rows.dtype).ravel()

@@ -24,10 +24,12 @@ falls through to ``vectorized``.  Compilation happens lazily on first use
 and is cached on disk (``cache=True``), so only the first shard of the first
 run pays the JIT cost.
 
-The compiled function's pure-Python twin (:func:`_patch_rows_py`) is the
-source of truth — the njit wrapper is applied to it at first use — so the
-parity tests can verify the update logic against the numpy implementation
-even on hosts without numba.
+The compiled functions' pure-Python twins (:func:`_patch_rows_py`,
+:func:`_group_rows_py`) are the source of truth — the njit wrapper is
+applied to them at first use — so the parity tests can verify the update
+logic against the numpy implementation even on hosts without numba.  They
+take any 1-D integer code array: this kernel's int64 caches, or a strided
+column of the fused kernel's row-major ``uint16`` code matrix.
 """
 
 from __future__ import annotations
@@ -83,10 +85,10 @@ def _patch_rows_py(data, rows, axes, strides, codes, counts):
 def _group_rows_py(codes, perm, size):
     """Stable counting sort of ``perm`` by ``codes[perm]``.
 
-    The loop twin of ``argsort(codes[perm], kind="stable")``: returns the
-    row indices grouped by cell (within-cell order following ``perm``) and
-    the sorted cell codes — bit-identical to the numpy grouping, in
-    ``O(n + size)`` instead of ``O(n log n)``.
+    The loop twin of ``perm[argsort(codes[perm], kind="stable")]``: returns
+    the row indices grouped by cell (within-cell order following ``perm``)
+    — bit-identical to the numpy grouping, in ``O(n + size)`` instead of
+    ``O(n log n)``.
     """
     n = perm.shape[0]
     counts = np.zeros(size + 1, dtype=np.int64)
@@ -95,16 +97,13 @@ def _group_rows_py(codes, perm, size):
     for c in range(size):
         counts[c + 1] += counts[c]
     rows_by_cell = np.empty(n, dtype=perm.dtype)
-    sorted_codes = np.empty(n, dtype=codes.dtype)
     cursor = counts[:size].copy()
     for i in range(n):
         r = perm[i]
         c = codes[r]
-        dest = cursor[c]
-        rows_by_cell[dest] = r
-        sorted_codes[dest] = c
+        rows_by_cell[cursor[c]] = r
         cursor[c] += 1
-    return rows_by_cell, sorted_codes
+    return rows_by_cell
 
 
 #: Lazily compiled njit twins (filled on first use).

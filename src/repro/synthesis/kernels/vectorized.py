@@ -12,8 +12,10 @@ What gets eliminated relative to the reference:
   marginal's cell codes and counts are cached across iterations and patched
   only for the rows a step actually rewrites (integer deltas on float64
   counts are exact, so the cached counts equal a fresh ``bincount``);
-- the per-cell ``searchsorted`` calls — one vectorized ``searchsorted`` per
-  pass over the whole cell list;
+- the per-cell ``searchsorted`` calls — the cached counts equal a fresh
+  ``bincount`` of the codes, so a cell's rows in the stable grouping start
+  at ``cumsum(counts) - counts`` and span ``counts`` rows; grouping only
+  has to produce the row order;
 - the per-cell free/refill slicing — one ``repeat``/``arange`` segment
   gather per pass;
 - the per-cell attribute writes — one fancy-indexed write per pass.
@@ -49,8 +51,8 @@ class VectorizedKernel(GumKernel):
     def step(self, data, states, k, alpha, config, rng):
         state = states[k]
         n = data.shape[0]
-        codes = state.codes
-        diff = state.target - state.counts
+        counts = state.counts
+        diff = state.target - counts
         pre_error = float(np.abs(diff).sum()) / (2.0 * n)
 
         excess = np.clip(-diff, 0.0, None)
@@ -62,22 +64,23 @@ class VectorizedKernel(GumKernel):
             return pre_error
 
         perm = rng.permutation(n)
-        rows_by_cell, sorted_codes = self._group_rows(codes, perm, state.target.size)
+        rows_by_cell = self._group_rows(state.codes, perm, state.target.size)
+        cell_len = counts.astype(np.int64)
+        cell_start = np.cumsum(cell_len) - cell_len
 
         # --- free rows from over-represented cells (one pass) --------------
         over_cells = np.nonzero(excess > 0)[0]
-        over_quota = rng.multinomial(moves, excess[over_cells] / excess_total)
-        lo = np.searchsorted(sorted_codes, over_cells, side="left")
-        hi = np.searchsorted(sorted_codes, over_cells, side="right")
+        over_excess = excess[over_cells]
+        over_quota = rng.multinomial(moves, over_excess / excess_total)
         cap = np.where(
-            excess[over_cells] >= 1.0,
-            np.minimum(over_quota, np.floor(excess[over_cells]).astype(np.int64)),
+            over_excess >= 1.0,
+            np.minimum(over_quota, np.floor(over_excess).astype(np.int64)),
             over_quota,
         )
-        take = np.minimum(cap, hi - lo)
+        take = np.minimum(cap, cell_len[over_cells])
         if int(take.sum()) <= 0:
             return pre_error
-        freed = rows_by_cell[_segment_gather(lo, take)]
+        freed = rows_by_cell.take(_segment_gather(cell_start[over_cells], take))
         rng.shuffle(freed)
 
         # --- refill freed rows for under-represented cells (one pass) ------
@@ -86,9 +89,7 @@ class VectorizedKernel(GumKernel):
         nz = fill_quota > 0
         cells_nz = under_cells[nz]
         quota_nz = fill_quota[nz].astype(np.int64)
-        lo_u = np.searchsorted(sorted_codes, cells_nz, side="left")
-        hi_u = np.searchsorted(sorted_codes, cells_nz, side="right")
-        match = hi_u - lo_u
+        match = cell_len[cells_nz]
         # round() and np.rint both round half to even, so the per-cell split
         # equals the reference's int(round(quota * fraction)).
         n_dup = np.where(
@@ -104,9 +105,8 @@ class VectorizedKernel(GumKernel):
         if len(dup_slots):
             dup_idx = np.nonzero(n_dup > 0)[0]
             offsets = self._dup_offsets(rng, match, n_dup, dup_idx)
-            lo_per = np.repeat(lo_u, n_dup)
-            sources = rows_by_cell[lo_per + offsets]
-            data[freed[dup_slots]] = data[sources]
+            sources = rows_by_cell.take(np.repeat(cell_start[cells_nz], n_dup) + offsets)
+            data[freed[dup_slots]] = data.take(sources, axis=0)
 
         repl_slots = _segment_gather(seg_start + n_dup, quota_nz - n_dup)
         if len(repl_slots):
@@ -142,15 +142,13 @@ class VectorizedKernel(GumKernel):
         )
 
     def _group_rows(self, codes, perm, size):
-        """Rows grouped by cell (stable in ``perm`` order) + their codes.
+        """``perm`` grouped by cell, stable in ``perm`` order.
 
         Any stable grouping is bit-equivalent to the reference's
         ``argsort(codes[perm], kind="stable")``; the numba kernel overrides
         this with a compiled O(n) counting sort.
         """
-        cp = codes[perm]
-        sort_order = np.argsort(cp, kind="stable")
-        return perm[sort_order], cp[sort_order]
+        return perm.take(np.argsort(codes.take(perm), kind="stable"))
 
     def _apply_updates(self, data, states, freed):
         """Patch every marginal's cached codes/counts for the rewritten rows.

@@ -14,7 +14,9 @@ Three contracts are enforced here:
    kernel still samples (with a warning), byte-identically.
 """
 
+import contextlib
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -38,7 +40,10 @@ from repro.synthesis.kernels import (
     register_kernel,
     resolve_kernel_name,
 )
+from repro.synthesis.kernels import fused as fused_mod
 from repro.synthesis.kernels import numba_kernel as numba_mod
+from repro.synthesis.kernels.base import cell_codes
+from repro.synthesis.kernels.fused import code_dtype
 from repro.synthesis.kernels.numba_kernel import (
     _group_rows_py,
     _patch_rows_py,
@@ -46,6 +51,17 @@ from repro.synthesis.kernels.numba_kernel import (
 )
 
 HAVE_NUMBA = numba_mod.numba_available()
+
+
+@contextlib.contextmanager
+def _twins_as_jit(jit):
+    """Drive ``FusedKernel``'s njit path through the twins' pure-Python
+    sources (``jit=True``), or pin its numpy path (``jit=False``), whether
+    or not numba is installed.  Applies to kernels prepared inside."""
+    with mock.patch.object(fused_mod, "numba_available", lambda: jit), mock.patch.object(
+        fused_mod, "_compiled", lambda name, fn: fn
+    ):
+        yield
 
 
 @pytest.fixture(scope="module")
@@ -218,9 +234,9 @@ class TestNumbaTwins:
         perm = rng.permutation(n)
         cp = codes[perm]
         order = np.argsort(cp, kind="stable")
-        rows, sorted_codes = _group_rows_py(codes, perm, size)
+        rows = _group_rows_py(codes, perm, size)
         assert np.array_equal(rows, perm[order])
-        assert np.array_equal(sorted_codes, cp[order])
+        assert np.array_equal(codes[rows], cp[order])
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
@@ -285,32 +301,61 @@ class TestFusedKernel:
         assert np.array_equal(seq, fused)
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
+    @staticmethod
+    def _grouping_kernel(codes, size):
+        """A prepared fused kernel whose only marginal has cell codes ``codes``."""
+        state = _MarginalState(np.array([0]), (size,), np.zeros(size))
+        kernel = FusedKernel()
+        kernel.prepare(codes.astype(np.int32)[:, None], [state])
+        kernel._jit = False  # pin the numpy grouping even on numba hosts
+        return kernel, state
+
+    @staticmethod
+    def _assert_stable_grouping(kernel, state, codes, perm):
+        """Rows grouped stably in ``perm`` order, each cell's run starting at
+        ``cumsum(counts) - counts`` of the cached counts."""
+        assert state.codes.dtype == kernel._codes.dtype
+        assert np.shares_memory(state.codes, kernel._codes)
+        rows = kernel._group_rows(state.codes, perm, state.target.size)
+        order = np.argsort(codes[perm], kind="stable")
+        assert np.array_equal(rows, perm[order])
+        cell_len = state.counts.astype(np.int64)
+        starts = np.cumsum(cell_len) - cell_len
+        sorted_codes = codes[perm][order]
+        assert np.array_equal(sorted_codes, np.repeat(np.arange(cell_len.size), cell_len))
+        present = np.unique(codes)
+        assert np.array_equal(starts[present], np.searchsorted(sorted_codes, present))
+
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
     def test_radix_grouping_matches_stable_argsort(self, seed):
+        """The cached uint16 column sorts like the int64 codes it encodes."""
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 500))
         size = int(rng.integers(1, 3000))
         codes = rng.integers(0, size, size=n)
         perm = rng.permutation(n)
-        kernel = FusedKernel()
-        kernel._jit = False
-        rows, sorted_codes = kernel._group_rows(codes, perm, size)
-        order = np.argsort(codes[perm], kind="stable")
-        assert np.array_equal(rows, perm[order])
-        assert np.array_equal(sorted_codes, codes[perm][order])
+        kernel, state = self._grouping_kernel(codes, size)
+        assert kernel._codes.dtype == code_dtype(size)
+        assert kernel._codes.dtype.itemsize <= 2  # numpy's radix-sort path
+        assert kernel._codes.shape == (n, 1)
+        self._assert_stable_grouping(kernel, state, codes, perm)
 
     def test_grouping_beyond_radix_range_still_stable(self):
-        size = 70_000  # > uint16 range: must take the int64 branch, same result
+        size = 70_000  # > uint16 range: a wider code dtype, same grouping
         rng = np.random.default_rng(3)
         codes = rng.integers(0, size, size=400)
         perm = rng.permutation(400)
-        kernel = FusedKernel()
-        kernel._jit = False
-        rows, sorted_codes = kernel._group_rows(codes, perm, size)
-        order = np.argsort(codes[perm], kind="stable")
-        assert np.array_equal(rows, perm[order])
-        assert np.array_equal(sorted_codes, codes[perm][order])
+        kernel, state = self._grouping_kernel(codes, size)
+        assert kernel._codes.dtype == np.uint32
+        self._assert_stable_grouping(kernel, state, codes, perm)
+
+    def test_code_dtype_is_narrowest_unsigned(self):
+        assert code_dtype(1) == np.uint8
+        assert code_dtype(256) == np.uint8
+        assert code_dtype(257) == np.uint16
+        assert code_dtype(65_536) == np.uint16
+        assert code_dtype(65_537) == np.uint32
 
     def _states(self, data):
         specs = [
@@ -327,9 +372,10 @@ class TestFusedKernel:
         return states
 
     @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
-    def test_fused_apply_updates_matches_marginal_state(self, seed):
-        """One matmul + one bincount == per-marginal ``apply_row_updates``."""
+    @given(seed=st.integers(min_value=0, max_value=2**31 - 1), jit=st.booleans())
+    def test_fused_apply_updates_matches_marginal_state(self, seed, jit):
+        """One matmul + one bincount + one row scatter (or the njit twins
+        over the row-major matrix) == per-marginal ``apply_row_updates``."""
         rng = np.random.default_rng(seed)
         n, k = 300, 4
         data = np.column_stack(
@@ -345,25 +391,113 @@ class TestFusedKernel:
         for twin in twins:
             twin.init_cache(data)
 
-        kernel = FusedKernel()
-        kernel.prepare(data, states)
-        kernel._jit = False  # pin the numpy fusion even on numba hosts
-        for state, twin in zip(states, twins):
-            assert np.array_equal(state.codes, twin.codes)
-            assert np.array_equal(state.counts, twin.counts)
+        with _twins_as_jit(jit):
+            kernel = FusedKernel()
+            kernel.prepare(data, states)
+            assert kernel._jit is jit  # pins numpy on numba hosts, twins without
+            assert kernel._codes.shape == (n, len(states))
+            for state, twin in zip(states, twins):
+                assert np.array_equal(state.codes, twin.codes)
+                assert np.array_equal(state.counts, twin.counts)
 
-        rows = rng.choice(n, size=40, replace=False).astype(np.int64)
-        data[rows, 0] = rng.integers(0, 5, 40)
-        data[rows, 1] = rng.integers(0, 4, 40)
-        data[rows, 2] = rng.integers(0, 3, 40)
-        data[rows, 3] = rng.integers(0, 3, 40)
+            rows = rng.choice(n, size=40, replace=False).astype(np.int64)
+            data[rows, 0] = rng.integers(0, 5, 40)
+            data[rows, 1] = rng.integers(0, 4, 40)
+            data[rows, 2] = rng.integers(0, 3, 40)
+            data[rows, 3] = rng.integers(0, 3, 40)
 
-        kernel._apply_updates(data, states, rows)
+            kernel._apply_updates(data, states, rows)
         for twin in twins:
             twin.apply_row_updates(rows, data[rows])
-        for state, twin in zip(states, twins):
-            assert np.array_equal(state.codes, twin.codes)
+        for j, (state, twin) in enumerate(zip(states, twins)):
+            assert np.shares_memory(state.codes, kernel._codes)
+            assert np.array_equal(kernel._codes[:, j], twin.codes)
             assert np.array_equal(state.counts, twin.counts)
+
+    @staticmethod
+    def _gum_workload(seed, n=300):
+        from repro.data.domain import Domain
+        from repro.marginals.marginal import Marginal
+
+        rng = np.random.default_rng(seed)
+        domain = Domain({"a": 5, "b": 4, "c": 3, "d": 6})
+        attrs = domain.names
+        data = np.stack(
+            [rng.integers(0, domain.size(a), n) for a in attrs], axis=1
+        ).astype(np.int32)
+        targets = [
+            Marginal(("a", "b"), rng.random((5, 4)) ** 3 * n),
+            Marginal(("b", "c", "d"), rng.random((4, 3, 6)) ** 3 * n),
+            Marginal(("d",), rng.random(6) * n),
+            Marginal(("a", "c"), rng.random((5, 3)) ** 3 * n),
+        ]
+        return data, targets, attrs, domain
+
+    @staticmethod
+    def _assert_cache_matches(kernel, data, targets, attrs, domain):
+        """Every marginal's cached codes and counts == a fresh recount."""
+        for j, marginal in enumerate(targets):
+            axes = [attrs.index(a) for a in marginal.attrs]
+            codes = cell_codes(data[:, axes], domain.shape(marginal.attrs))
+            size = domain.cells(marginal.attrs)
+            lo = kernel._offsets[j]
+            assert np.array_equal(kernel._codes[:, j], codes)
+            assert np.array_equal(
+                kernel._counts[lo : lo + size], np.bincount(codes, minlength=size)
+            )
+
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**31 - 1), jit=st.booleans())
+    def test_cache_invariant_after_run_gum(self, seed, jit):
+        """After many iterations the row-major cache still equals a fresh
+        ``cell_codes``/``bincount`` of the final data — on the numpy path
+        and on the njit twins' pure-Python sources — and the output is
+        the reference kernel's, byte for byte."""
+        data, targets, attrs, domain = self._gum_workload(seed)
+        config = GumConfig(iterations=25, patience=26)
+        expected = run_gum(
+            data.copy(), targets, attrs, domain, config, rng=seed, kernel="reference"
+        )
+        with _twins_as_jit(jit):
+            kernel = FusedKernel()
+            result = run_gum(
+                data.copy(), targets, attrs, domain, config, rng=seed, kernel=kernel
+            )
+        assert kernel._jit is jit
+        assert result.iterations_run == 25
+        assert result.data.tobytes() == expected.data.tobytes()
+        assert result.errors == expected.errors
+        self._assert_cache_matches(kernel, result.data, targets, attrs, domain)
+
+    def test_wide_marginal_runs_end_to_end_like_reference(self):
+        """A > 65535-cell marginal takes a uint32 code matrix (and numpy's
+        comparison sort) with output byte-identical to the reference."""
+        from repro.data.domain import Domain
+        from repro.marginals.marginal import Marginal
+
+        rng = np.random.default_rng(11)
+        n = 400
+        domain = Domain({"a": 300, "b": 250, "c": 3})
+        attrs = domain.names
+        data = np.stack(
+            [rng.integers(0, domain.size(a), n) for a in attrs], axis=1
+        ).astype(np.int32)
+        targets = [
+            Marginal(("a", "b"), rng.random((300, 250)) ** 12 * n),
+            Marginal(("b", "c"), rng.random((250, 3)) * n),
+        ]
+        assert domain.cells(("a", "b")) > 65_535
+        config = GumConfig(iterations=10, patience=11)
+        expected = run_gum(
+            data.copy(), targets, attrs, domain, config, rng=4, kernel="reference"
+        )
+        with _twins_as_jit(False):
+            kernel = FusedKernel()
+            result = run_gum(data.copy(), targets, attrs, domain, config, rng=4, kernel=kernel)
+        assert kernel._codes.dtype == np.uint32
+        assert result.data.tobytes() == expected.data.tobytes()
+        assert result.errors == expected.errors
+        self._assert_cache_matches(kernel, result.data, targets, attrs, domain)
 
     def test_fused_digest_equality(self, fitted, reference_digests):
         for shards in (1, 2, 3):
