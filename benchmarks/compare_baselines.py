@@ -6,8 +6,8 @@ RSS.  This script distills the *gated metrics* out of that file and compares
 them against ``benchmarks/baselines/bench-smoke-baseline.json``:
 
 - synthesis throughput (records/sec, engine + streaming serial baselines);
-- the vectorized-kernel, fused-kernel, and marginal-phase speedups (ratios,
-  so they are robust to runner speed differences);
+- the fused-kernel and marginal-phase speedups (ratios, so they are
+  robust to runner speed differences);
 - bytes copied per record across the sharded shared backend (the zero-copy
   data plane's per-record movement budget, lower is better);
 - HTTP serving throughput and p50 latency under closed-loop client load;
@@ -49,11 +49,6 @@ GATED_RESULT_METRICS = {
     "engine.serial-1.records_per_second": (
         "test_engine_scaling",
         ("rows", "serial-1", "records_per_second"),
-        "higher",
-    ),
-    "engine.kernel.vectorized.speedup_vs_reference": (
-        "test_engine_scaling",
-        ("kernel_rows", "vectorized", "speedup_vs_reference"),
         "higher",
     ),
     "engine.kernel.fused.speedup_vs_reference": (

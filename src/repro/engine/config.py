@@ -56,13 +56,11 @@ class EngineConfig:
     #: Worker cap for the thread/process/shared backends (default: one per
     #: shard).
     max_workers: int | None = None
-    #: GUM update kernel: a registered kernel name (``"reference"``,
-    #: ``"vectorized"``, ``"numba"``, ``"fused"``) or ``"auto"`` (fastest
-    #: available, resolved fused -> numba -> vectorized -> reference at
-    #: execution time).  Every
-    #: kernel is bit-identical, so this only changes speed, never output —
-    #: which is also why a persisted model carrying ``kernel="numba"`` can
-    #: sample on a host without numba (resolution falls back).
+    #: GUM update kernel: ``"reference"`` (the golden per-cell loop) or
+    #: ``"fused"``; ``"auto"`` and the legacy names ``"vectorized"`` and
+    #: ``"numba"`` resolve to ``"fused"`` at execution time.  Both kernels
+    #: are bit-identical, so this only changes speed, never output — and a
+    #: persisted model carrying a legacy name samples the same bytes.
     kernel: str = "auto"
     #: Per-task result timeout (seconds) for the process/shared backends; a
     #: shard that exceeds it is treated as a hung worker and resubmitted.

@@ -115,11 +115,10 @@ def resolve_run_kernel(plan: SynthesisPlan, config: EngineConfig) -> str:
     """The concrete kernel name one engine run ships to every shard.
 
     Precedence: an explicit per-call/engine ``config.kernel`` beats the
-    plan's frozen preference (which itself honors a legacy
-    ``gum.update_mode`` pin); ``"auto"`` then resolves to the fastest kernel
-    available on *this* host.  Resolution happens once, in the parent, so
-    every shard of a run executes the same kernel — though any choice would
-    produce the same bytes, since kernels are bit-identical.
+    plan's frozen preference; ``"auto"`` then resolves to ``fused``.
+    Resolution happens once, in the parent, so every shard of a run
+    executes the same kernel — though either kernel would produce the same
+    bytes.
     """
     name = getattr(config, "kernel", "auto")
     if name == "auto":

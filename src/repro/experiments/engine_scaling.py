@@ -18,7 +18,7 @@ from __future__ import annotations
 from repro.core import NetDPSyn, SynthesisConfig
 from repro.datasets import load_dataset
 from repro.experiments.runner import ExperimentScale
-from repro.synthesis.kernels import available_kernels
+from repro.synthesis.kernels import kernel_names
 
 #: (backend, shards) grid reported by the benchmark, in column order.
 DEFAULT_GRID = (
@@ -30,9 +30,9 @@ DEFAULT_GRID = (
 )
 
 #: Kernels timed on the single-shard serial configuration (the kernel
-#: dimension of the benchmark); restricted to what this host can run.
+#: dimension of the benchmark): ``reference`` and ``fused``.
 def kernel_grid() -> tuple:
-    return available_kernels()
+    return kernel_names()
 
 #: SHA-256 of the trace the PRE-ENGINE ``sample()`` produces for the pinned
 #: workload of :func:`verify_bit_identity` (captured from the seed repo with
@@ -84,9 +84,9 @@ def run(
     Two dimensions are reported:
 
     - ``rows``: the (backend, shards) grid, run on the ``auto`` kernel;
-    - ``kernel_rows``: every kernel in ``kernels`` (default: all available
-      on this host) on the single-shard serial configuration — the
-      single-core comparison the kernel speedup gate reads.  All kernels
+    - ``kernel_rows``: every kernel in ``kernels`` (default:
+      :func:`kernel_grid`) on the single-shard serial configuration — the
+      single-core comparison the kernel speedup gate reads.  Both kernels
       are bit-identical, so every kernel row must report the same digest.
     """
     scale = scale or ExperimentScale()

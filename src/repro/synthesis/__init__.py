@@ -3,10 +3,8 @@
 from repro.synthesis.gum import GumConfig, GumResult, run_gum
 from repro.synthesis.kernels import (
     GumKernel,
-    available_kernels,
     get_kernel,
     kernel_names,
-    register_kernel,
     resolve_kernel_name,
 )
 from repro.synthesis.initialization import (
@@ -21,14 +19,12 @@ __all__ = [
     "GumConfig",
     "GumKernel",
     "GumResult",
-    "available_kernels",
     "decode_records",
     "get_kernel",
     "kernel_names",
     "marginal_initialization",
     "random_initialization",
     "reconstruct_timestamps",
-    "register_kernel",
     "resolve_kernel_name",
     "run_gum",
     "weighted_pearson",

@@ -3,7 +3,7 @@
 A *kernel* is the record-update hot path of the GUM loop: one call applies a
 single marginal's free/refill step to the encoded matrix (PrivSyn §6, paper
 §3.4).  Kernels are interchangeable compute strategies, not semantic
-variants — every registered kernel must consume the caller's random stream
+variants — the fast kernel must consume the caller's random stream
 identically to :class:`~repro.synthesis.kernels.reference.ReferenceKernel`
 and write identical bytes, so the engine's reproducibility contract (the
 pinned ``PRE_REFACTOR_GOLDEN`` digests, backend interchangeability, stream /
@@ -20,9 +20,9 @@ The RNG consumption order every kernel must reproduce per step:
    duplicates (ascending cell order, only when ``n_dup > 0``).
 
 Steps 1-4 are single bulk draws, so kernels are free to restructure the
-surrounding compute; step 5 is inherently per-cell (each draw's word
-consumption depends on its bound), so even the fastest kernels keep that
-small loop and vectorize everything around it.
+surrounding compute.  Step 5 draws one bounded word per element in element
+order, so a single ``rng.integers(0, highs)`` over the per-cell bounds
+repeated per slot consumes the identical stream.
 """
 
 from __future__ import annotations
@@ -56,31 +56,6 @@ class _MarginalState:
         self.codes: np.ndarray | None = None
         self.counts: np.ndarray | None = None
 
-    def init_cache(self, data: np.ndarray) -> None:
-        """Compute cell codes and counts once; steps update them in place."""
-        self.codes = cell_codes(data[:, self.axes], self.shape)
-        self.counts = np.bincount(self.codes, minlength=self.target.size).astype(
-            np.float64
-        )
-
-    def apply_row_updates(self, rows: np.ndarray, new_rows: np.ndarray) -> None:
-        """Re-code ``rows`` (now holding ``new_rows``) and patch the counts.
-
-        One signed-weight bincount instead of two unsigned ones: same exact
-        integer deltas (±1 in float64 is exact), half the cell-sized
-        allocations per marginal per step.
-        """
-        new = cell_codes(new_rows[:, self.axes], self.shape)
-        old = self.codes[rows]
-        k = len(new)
-        weights = np.empty(2 * k, dtype=np.float64)
-        weights[:k] = 1.0
-        weights[k:] = -1.0
-        self.counts += np.bincount(
-            np.concatenate([new, old]), weights=weights, minlength=self.target.size
-        )
-        self.codes[rows] = new
-
 
 def _segment_gather(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Concatenate ``[starts[i], starts[i] + lengths[i])`` ranges, vectorized.
@@ -101,26 +76,18 @@ def _segment_gather(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 class GumKernel(abc.ABC):
     """A compute strategy for the per-marginal GUM update step.
 
-    Instances are stateless between runs (per-run state lives on the
-    :class:`_MarginalState` list), so one registered instance serves every
-    shard and thread.  Subclasses set :attr:`name` and implement
-    :meth:`step`; cache-maintaining kernels set ``uses_cache = True`` so
-    :func:`~repro.synthesis.gum.run_gum` calls :meth:`prepare` once before
-    the iteration loop.
+    Instances are created per run (:func:`~repro.synthesis.kernels.get_kernel`
+    returns a fresh one), so per-run scratch built by :meth:`prepare` never
+    leaks between concurrent shards.  Subclasses set :attr:`name` and
+    implement :meth:`step`; :func:`~repro.synthesis.gum.run_gum` calls
+    :meth:`prepare` once before the iteration loop.
     """
 
     #: Registry key; also the value accepted by ``EngineConfig(kernel=...)``.
     name: str = "abstract"
-    #: Whether :meth:`prepare` must run before the first :meth:`step`.
-    uses_cache: bool = False
-
-    @classmethod
-    def available(cls) -> bool:
-        """Whether this kernel can run in the current environment."""
-        return True
 
     def prepare(self, data: np.ndarray, states: list) -> None:
-        """Build per-marginal caches before the iteration loop (optional)."""
+        """Build per-run caches before the iteration loop (default: none)."""
 
     @abc.abstractmethod
     def step(

@@ -1,86 +1,53 @@
-"""The GUM kernel registry: names, capability probes, ``auto`` resolution.
+"""The GUM kernel registry: two kernels, two legacy aliases, ``auto``.
 
-Kernels register *classes*; :func:`get_kernel` instantiates per call so any
-per-run scratch a kernel keeps (e.g. the numba kernel's stride cache) never
-leaks between concurrent shards.  A registered name is always *valid* —
-``EngineConfig(kernel="numba")`` parses on every host — but only kernels
-whose :meth:`~repro.synthesis.kernels.base.GumKernel.available` probe passes
-are *usable*; requesting an unavailable kernel falls back down
-:data:`AUTO_ORDER` (with a warning), which is safe because every kernel
-produces bit-identical output.  That is what lets a model persisted on a
-numba host sample on a plain-numpy host without changing a single byte.
+:func:`get_kernel` instantiates per call so the per-run scratch a kernel
+keeps (the fused kernel's code matrix) never leaks between concurrent
+shards.  ``"auto"`` and the retired names ``"vectorized"`` and ``"numba"``
+all resolve to ``"fused"``: those kernels were folded into it, so models
+and configs persisted with them keep loading and sample the same bytes.
 """
 
 from __future__ import annotations
 
-import warnings
-
 from repro.synthesis.kernels.base import GumKernel
+from repro.synthesis.kernels.fused import FusedKernel
+from repro.synthesis.kernels.reference import ReferenceKernel
 
-#: Resolution order of ``kernel="auto"``: fastest available wins.
-AUTO_ORDER = ("fused", "numba", "vectorized", "reference")
-
-#: The wildcard name resolved through :data:`AUTO_ORDER`.
+#: The wildcard name: resolves to the fast kernel.
 KERNEL_AUTO = "auto"
 
-_REGISTRY: dict[str, type[GumKernel]] = {}
+_KERNELS: dict[str, type[GumKernel]] = {
+    ReferenceKernel.name: ReferenceKernel,
+    FusedKernel.name: FusedKernel,
+}
 
-
-def register_kernel(cls: type[GumKernel]) -> type[GumKernel]:
-    """Register a kernel class under ``cls.name`` (idempotent; returns it)."""
-    if not isinstance(cls, type) or not issubclass(cls, GumKernel):
-        raise TypeError(f"kernel must be a GumKernel subclass, got {cls!r}")
-    if not cls.name or cls.name == KERNEL_AUTO:
-        raise ValueError(f"invalid kernel name {cls.name!r}")
-    _REGISTRY[cls.name] = cls
-    return cls
+#: Accepted names that are not kernel classes, and the kernel each runs.
+_ALIASES = {KERNEL_AUTO: "fused", "vectorized": "fused", "numba": "fused"}
 
 
 def kernel_names() -> tuple:
-    """Every registered kernel name, available or not (the valid-name set)."""
-    return tuple(_REGISTRY)
+    """The concrete kernel names (every alias resolves to one of these)."""
+    return tuple(_KERNELS)
 
 
-def available_kernels() -> tuple:
-    """Names of the kernels usable in this environment, in AUTO_ORDER first."""
-    ordered = [n for n in AUTO_ORDER if n in _REGISTRY]
-    ordered += [n for n in _REGISTRY if n not in AUTO_ORDER]
-    return tuple(n for n in ordered if _REGISTRY[n].available())
+def valid_kernel_names() -> tuple:
+    """The names ``EngineConfig(kernel=...)`` accepts: kernels plus aliases."""
+    return (KERNEL_AUTO,) + kernel_names() + tuple(
+        name for name in _ALIASES if name != KERNEL_AUTO
+    )
 
 
 def resolve_kernel_name(name: str = KERNEL_AUTO) -> str:
     """Map a requested kernel name to the concrete one that will run.
 
-    ``"auto"`` picks the first available name in :data:`AUTO_ORDER`.  A
-    registered-but-unavailable name (e.g. ``"numba"`` without numba
-    installed) falls back the same way — with a warning — instead of
-    failing, because all kernels are output-identical.  An unregistered name
-    raises ``ValueError``.
+    Raises ``ValueError`` for a name that is neither a kernel nor an alias.
     """
-    if name != KERNEL_AUTO and name not in _REGISTRY:
-        valid = (KERNEL_AUTO,) + kernel_names()
-        raise ValueError(f"kernel must be one of {valid}, got {name!r}")
-    usable = available_kernels()
-    if not usable:  # pragma: no cover - reference is always available
-        raise RuntimeError("no GUM kernel is available")
-    if name == KERNEL_AUTO:
-        return usable[0]
-    if name in usable:
-        return name
-    warnings.warn(
-        f"GUM kernel {name!r} is not available on this host; "
-        f"falling back to {usable[0]!r} (output is identical)",
-        RuntimeWarning,
-        stacklevel=2,
-    )
-    return usable[0]
+    resolved = _ALIASES.get(name, name)
+    if resolved not in _KERNELS:
+        raise ValueError(f"kernel must be one of {valid_kernel_names()}, got {name!r}")
+    return resolved
 
 
 def get_kernel(name: str = KERNEL_AUTO) -> GumKernel:
     """A fresh instance of the kernel ``name`` resolves to."""
-    return _REGISTRY[resolve_kernel_name(name)]()
-
-
-def valid_kernel_names() -> tuple:
-    """The names ``EngineConfig(kernel=...)`` accepts (``auto`` + registered)."""
-    return (KERNEL_AUTO,) + kernel_names()
+    return _KERNELS[resolve_kernel_name(name)]()

@@ -1,7 +1,6 @@
 """Tests for the sampling engine: plan, backends, sharding, reproducibility."""
 
 import pickle
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -111,8 +110,8 @@ class TestSynthesisPlan:
     def test_pickle_round_trip(self, fitted):
         plan = fitted.plan()
         clone = pickle.loads(pickle.dumps(plan))
-        a = plan.run_shard(400, np.random.default_rng(9), update_mode="vectorized")
-        b = clone.run_shard(400, np.random.default_rng(9), update_mode="vectorized")
+        a = plan.run_shard(400, np.random.default_rng(9), kernel="vectorized")
+        b = clone.run_shard(400, np.random.default_rng(9), kernel="vectorized")
         assert np.array_equal(a.data, b.data)
         assert a.errors == b.errors
         ta = plan.finalize(a.data, np.random.default_rng(10))
@@ -167,8 +166,9 @@ class TestBitIdentity:
             plan.published,
             plan.attrs,
             plan.domain,
-            replace(fitted.config.gum, update_mode="reference"),
+            fitted.config.gum,
             rng,
+            kernel="reference",
         )
         encoded = fitted._template.replace_data(gum.data)
         table = decode_records(encoded, fitted.encoder, rng, rules=plan.rules)

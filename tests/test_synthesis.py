@@ -148,50 +148,17 @@ class TestGumUpdateModes:
     @pytest.mark.parametrize("mode", ["vectorized", "reference"])
     def test_both_modes_converge(self, mode):
         data, targets, attrs, domain = self._setup()
-        config = GumConfig(iterations=20, update_mode=mode)
-        result = run_gum(data, targets, attrs, domain, config, rng=4)
+        config = GumConfig(iterations=20)
+        result = run_gum(data, targets, attrs, domain, config, rng=4, kernel=mode)
         assert result.errors[-1] < result.errors[0]
         assert result.errors[-1] < 0.1
         assert result.data.min() >= 0
         assert result.data[:, 0].max() < 4 and result.data[:, 1].max() < 3
 
     def test_invalid_mode_rejected(self):
+        data, targets, attrs, domain = self._setup(n=50)
         with pytest.raises(ValueError):
-            GumConfig(update_mode="magic")
-
-    def test_auto_resolution(self):
-        config = GumConfig()
-        assert config.resolved_mode() == "vectorized"
-        assert config.resolved_mode("reference") == "reference"
-        pinned = GumConfig(update_mode="reference")
-        assert pinned.resolved_mode("vectorized") == "reference"
-        with pytest.raises(ValueError):
-            config.resolved_mode("auto")
-
-    def test_incremental_counts_stay_exact(self):
-        """The vectorized path's cached counts must equal a fresh bincount."""
-        from repro.marginals.compute import cell_codes, marginal_counts
-        from repro.synthesis.gum import _MarginalState, _update_marginal_vectorized
-
-        data, targets, attrs, domain = self._setup(n=2000)
-        rng = np.random.default_rng(8)
-        config = GumConfig(iterations=8, update_mode="vectorized")
-        n = data.shape[0]
-        states = []
-        for m in targets:
-            axes = np.array([attrs.index(a) for a in m.attrs])
-            shape = domain.shape(m.attrs)
-            target = np.clip(m.flat(), 0.0, None)
-            state = _MarginalState(axes, shape, target * (n / target.sum()))
-            state.init_cache(data)
-            states.append(state)
-        for t in range(8):
-            for k in rng.permutation(len(states)):
-                _update_marginal_vectorized(data, states, k, 0.98**t, config, rng)
-        for state in states:
-            fresh = marginal_counts(data[:, state.axes], state.shape).reshape(-1)
-            assert np.array_equal(state.counts, fresh)
-            assert np.array_equal(state.codes, cell_codes(data[:, state.axes], state.shape))
+            run_gum(data, targets, attrs, domain, GumConfig(), rng=1, kernel="magic")
 
 
 class TestTimestampReconstruction:
