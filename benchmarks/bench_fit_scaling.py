@@ -53,8 +53,10 @@ def run_and_check(scale: ExperimentScale) -> dict:
     rows = result["rows"]
 
     for key, row in rows.items():
+        binning = row["fit_report"]["stage_seconds"]["binning"]
         print(
-            f"[fit] {key:<10s} marginal={fmt(row['marginal_seconds'])}s "
+            f"[fit] {key:<10s} binning={fmt(binning)}s "
+            f"marginal={fmt(row['marginal_seconds'])}s "
             f"fit={fmt(row['fit_seconds'])}s  "
             f"speedup={fmt(row['marginal_speedup'])} "
             f"(fit {fmt(row['fit_speedup'])})"

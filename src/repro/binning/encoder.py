@@ -1,13 +1,14 @@
 """Dataset encoder: orchestrates type- and frequency-dependent binning.
 
-``DatasetEncoder.fit`` implements lines 1–4 of the paper's Algorithm 1:
+``DatasetEncoder.fit_encode`` implements lines 1–4 of the paper's Algorithm 1
+and returns the fitted trace encoded, in one pass over the data:
 
 1. build a type-dependent codec per attribute;
 2. add the auxiliary ``tsdiff`` attribute (group-wise inter-arrival deltas);
 3. publish noisy 1-way marginals with the binning budget (0.1·rho);
 4. merge low-noisy-count bins (frequency-dependent binning).
 
-``encode`` then maps a trace to an integer matrix over the merged domain and
+``encode`` maps further traces to an integer matrix over the merged domain and
 ``decode`` samples raw values back out of bins.
 """
 
@@ -100,28 +101,43 @@ class DatasetEncoder:
         """Fit codecs on ``table``; ``rho`` is the binning budget (0.1·total).
 
         ``rho=None`` runs without noise (exact counts, no privacy) — used by
-        ablations and tests only.
+        ablations and tests only.  Callers that also need ``table`` encoded
+        should call :meth:`fit_encode`, which returns it from the same pass.
+        """
+        self.fit_encode(table, rho, rng)
+        return self
+
+    def fit_encode(
+        self,
+        table: TraceTable,
+        rho: float | None,
+        rng: np.random.Generator | int | None = None,
+    ) -> EncodedDataset:
+        """Fit codecs on ``table`` and return it encoded, in one pass.
+
+        tsdiff is computed once and every base codec encodes its column once:
+        the base codes feed the noisy 1-way count, then go through the merged
+        codec's ``base_to_merged`` map straight into the ``(n, d)`` int32
+        matrix.  The result is byte-identical to ``fit(...).encode(table)``.
         """
         rng = ensure_rng(rng)
         cfg = self.config
         work = self._augment(table)
         self.schema = work.schema
-
-        base_codecs: dict[str, AttributeCodec] = {}
-        for spec in work.schema:
-            base_codecs[spec.name] = self._build_codec(spec, work.column(spec.name))
+        attrs = tuple(work.schema.names)
+        data = np.empty((work.n_records, len(attrs)), dtype=np.int32)
 
         # Publish noisy 1-way marginals over the base bins, then merge.
-        names = list(base_codecs)
-        rho_per_attr = None if rho is None else rho / len(names)
+        rho_per_attr = None if rho is None else rho / len(attrs)
         self.rho_spent = 0.0 if rho is None else rho
         self.codecs = {}
         self.noisy_one_way = {}
-        for name in names:
-            base = base_codecs[name]
-            exact = np.bincount(
-                base.encode(work.column(name)), minlength=base.domain_size
-            ).astype(np.float64)
+        for j, name in enumerate(attrs):
+            spec = work.schema[name]
+            values = work.column(name)
+            base = self._build_codec(spec, values)
+            codes = base.encode(values)
+            exact = np.bincount(codes, minlength=base.domain_size).astype(np.float64)
             if rho_per_attr is None:
                 noisy = exact
                 threshold = 1.0
@@ -129,7 +145,6 @@ class DatasetEncoder:
                 noisy = gaussian_mechanism(exact, 1.0, rho_per_attr, rng)
                 sigma = gaussian_sigma(1.0, rho_per_attr)
                 threshold = cfg.freq_threshold_sigmas * sigma
-            spec = work.schema[name]
             min_bins = base.domain_size if (spec.is_label and cfg.protect_labels) else 1
             if spec.kind is FieldKind.CATEGORICAL and base.domain_size <= 16:
                 # Small categorical domains are not binned (paper type 3).
@@ -137,7 +152,8 @@ class DatasetEncoder:
             merged = merge_codec(base, noisy, threshold, min_bins=min_bins)
             self.codecs[name] = merged
             self.noisy_one_way[name] = aggregate_counts(merged, noisy)
-        return self
+            data[:, j] = merged.base_to_merged.astype(np.int32)[codes]
+        return self._encoded(data)
 
     def _augment(self, table: TraceTable) -> TraceTable:
         """Append the tsdiff auxiliary attribute when configured and possible."""
@@ -184,10 +200,13 @@ class DatasetEncoder:
             raise RuntimeError("encoder not fitted")
         work = self._augment(table) if TSDIFF not in table.schema else table
         attrs = tuple(self.schema.names)
-        n = work.n_records
-        data = np.empty((n, len(attrs)), dtype=np.int32)
+        data = np.empty((work.n_records, len(attrs)), dtype=np.int32)
         for j, name in enumerate(attrs):
             data[:, j] = self.codecs[name].encode(work.column(name))
+        return self._encoded(data)
+
+    def _encoded(self, data: np.ndarray) -> EncodedDataset:
+        attrs = tuple(self.schema.names)
         sizes = {name: self.codecs[name].domain_size for name in attrs}
         return EncodedDataset(data, attrs, Domain(sizes), dict(self.codecs), self.schema)
 
@@ -237,16 +256,16 @@ def compute_tsdiff(table: TraceTable, key) -> np.ndarray:
     record of each group gets 0.
     """
     ts = np.asarray(table.column("ts"), dtype=np.float64)
+    if len(ts) == 0:
+        return np.empty(0, dtype=np.float64)
     groups = table.group_ids(key)
     order = np.lexsort((ts, groups))
     sorted_groups = groups[order]
     sorted_ts = ts[order]
     diffs = np.empty(len(ts))
     diffs[0] = 0.0
-    if len(ts) > 1:
-        diffs[1:] = sorted_ts[1:] - sorted_ts[:-1]
-        new_group = sorted_groups[1:] != sorted_groups[:-1]
-        diffs[1:][new_group] = 0.0
+    diffs[1:] = sorted_ts[1:] - sorted_ts[:-1]
+    diffs[1:][sorted_groups[1:] != sorted_groups[:-1]] = 0.0
     out = np.empty(len(ts))
     out[order] = np.clip(diffs, 0.0, None)
     return out

@@ -193,23 +193,30 @@ class TraceTable:
     def group_ids(self, names: Iterable[str]) -> np.ndarray:
         """Assign a dense integer group id to each row, keyed by ``names``.
 
-        Rows sharing the same value tuple over ``names`` get the same id.
-        Used to group records by flow identifier for tsdiff computation.
+        Rows sharing the same value tuple over ``names`` get the same id, and
+        ids rank the tuples lexicographically (first name most significant,
+        each column in ``np.unique`` order).  Used to group records by flow
+        identifier for tsdiff computation.
         """
         names = list(names)
         if not names:
             raise ValueError("group_ids requires at least one column")
         if self.n_records == 0:
             return np.zeros(0, dtype=np.int64)
-        # Densify each column to integer codes, then fold pairwise so the
-        # combined key never overflows int64 (codes stay < n after each fold).
-        ids = np.zeros(self.n_records, dtype=np.int64)
-        for name in names:
-            _, codes = np.unique(self._columns[name], return_inverse=True)
-            codes = codes.astype(np.int64)
-            _, ids = np.unique(ids * (codes.max() + 1) + codes, return_inverse=True)
-            ids = ids.astype(np.int64)
-        return ids
+        # Fold per-column rank codes mixed-radix (order-preserving), and
+        # re-densify only when the next fold could pass 2**62; one final
+        # unique then ranks the folded tuples.
+        ids, span = _rank_codes(self._columns[names[0]])
+        for name in names[1:]:
+            codes, card = _rank_codes(self._columns[name])
+            if span * card > _FOLD_LIMIT:
+                _, ids = np.unique(ids, return_inverse=True)
+                span = int(ids.max()) + 1
+            ids = ids * card + codes
+            span *= card
+        if len(names) > 1:
+            _, ids = np.unique(ids, return_inverse=True)
+        return ids.astype(np.int64, copy=False)
 
     def content_digest(self) -> str:
         """SHA-256 over column names, dtypes, lengths, and values, in schema order.
@@ -285,3 +292,24 @@ class TraceTable:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TraceTable(kind={self.schema.kind!r}, n={self.n_records}, fields={list(self.schema.names)})"
+
+
+#: Largest folded key :meth:`TraceTable.group_ids` builds before re-densifying.
+_FOLD_LIMIT = 2**62
+
+
+def _rank_codes(col: np.ndarray) -> tuple[np.ndarray, int]:
+    """Dense sorted-rank codes of one column and its number of distinct values.
+
+    Numeric columns use ``np.unique``.  Object columns are factorized through
+    a dict instead of an object sort: only the few distinct values are
+    sorted, with Python ``sorted`` — the order ``np.unique`` gives objects —
+    so the codes are the same, and incomparable values still raise
+    ``TypeError``.
+    """
+    if col.dtype == object:
+        rank = {v: i for i, v in enumerate(sorted(dict.fromkeys(col)))}
+        codes = np.fromiter(map(rank.__getitem__, col), dtype=np.int64, count=len(col))
+        return codes, len(rank)
+    uniques, codes = np.unique(col, return_inverse=True)
+    return codes.astype(np.int64, copy=False), len(uniques)

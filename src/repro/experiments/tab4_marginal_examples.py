@@ -38,10 +38,8 @@ def run(scale: ExperimentScale | None = None, top_k: int = 6) -> dict:
     raw = load_raw_cached("ton", scale)
     ledger = BudgetLedger.from_eps_delta(scale.epsilon, scale.delta)
 
-    encoder = DatasetEncoder(EncoderConfig()).fit(
-        raw, ledger.spend(0.1 * ledger.total, "binning"), rng
-    )
-    encoded = encoder.encode(raw)
+    encoder = DatasetEncoder(EncoderConfig())
+    encoded = encoder.fit_encode(raw, ledger.spend(0.1 * ledger.total, "binning"), rng)
 
     dstport_bounds = encoder.codecs["dstport"].bin_bounds()
     port_labels = [

@@ -47,8 +47,8 @@ class BinningStage:
         rho = ctx.ledger.spend(
             ctx.stage_budgets["binning"], "frequency-dependent binning"
         )
-        ctx.encoder = DatasetEncoder(ctx.config.encoder).fit(ctx.table, rho, ctx.rng)
-        ctx.encoded = ctx.encoder.encode(ctx.table)
+        ctx.encoder = DatasetEncoder(ctx.config.encoder)
+        ctx.encoded = ctx.encoder.fit_encode(ctx.table, rho, ctx.rng)
         ctx.template = ctx.encoded.replace_data(
             np.empty((0, len(ctx.encoded.attrs)), dtype=np.int32)
         )

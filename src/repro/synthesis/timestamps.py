@@ -78,7 +78,7 @@ def reconstruct_timestamps(
     tsd_sorted = tsdiff[order]
 
     heads = np.empty(len(order), dtype=bool)
-    heads[0] = True
+    heads[:1] = True  # an empty shard has no head
     heads[1:] = g_sorted[1:] != g_sorted[:-1]
     head_idx = np.nonzero(heads)[0]
 

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.binning.encoder as encoder_module
+from repro import NetDPSyn, SynthesisConfig
 from repro.binning import (
     CategoricalCodec,
     DatasetEncoder,
@@ -37,6 +39,12 @@ class TestCategoricalCodec:
         codec = CategoricalCodec("proto", ("TCP",))
         with pytest.raises(ValueError):
             codec.encode(np.array(["GRE"], dtype=object))
+
+    def test_encode_empty_and_numeric_values(self):
+        codec = CategoricalCodec("label", (0, 1, 2))
+        empty = codec.encode(np.array([], dtype=np.int64))
+        assert empty.dtype == np.int32 and len(empty) == 0
+        assert list(codec.encode(np.array([2, 0, 1, 2]))) == [2, 0, 1, 2]
 
     def test_duplicate_categories_rejected(self):
         with pytest.raises(ValueError):
@@ -249,6 +257,14 @@ class TestComputeTsdiff:
         diffs = compute_tsdiff(self._table(), ("srcip",))
         assert (diffs >= 0).all()
 
+    def test_empty_table(self):
+        diffs = compute_tsdiff(self._table().head(0), ("srcip",))
+        assert diffs.dtype == np.float64 and diffs.shape == (0,)
+
+    def test_single_record(self):
+        diffs = compute_tsdiff(self._table().head(1), ("srcip",))
+        assert list(diffs) == [0.0]
+
 
 class TestDatasetEncoder:
     def test_fit_encode_decode_roundtrip_bins(self):
@@ -286,3 +302,63 @@ class TestDatasetEncoder:
         for attr in encoded.attrs:
             assert encoded.domain.size(attr) == encoder.codecs[attr].domain_size
             assert encoded.column(attr).max() < encoded.domain.size(attr)
+
+    def test_encode_empty_table(self):
+        table = load_dataset("ton", n_records=300, seed=5)
+        encoder = DatasetEncoder(EncoderConfig()).fit(table, rho=0.05, rng=7)
+        encoded = encoder.encode(table.head(0))
+        assert encoded.data.shape == (0, len(encoder.schema.names))
+        assert encoded.data.dtype == np.int32
+
+
+BASE_CODECS = (CategoricalCodec, IpCodec, LogNumericCodec, PortCodec, TimestampCodec)
+
+
+class TestOnePassBinning:
+    """The fit computes tsdiff and every base encoding exactly once."""
+
+    def test_fit_runs_tsdiff_and_each_base_encode_once(self, monkeypatch):
+        tsdiff_calls = []
+        real_tsdiff = encoder_module.compute_tsdiff
+
+        def counting_tsdiff(table, key):
+            tsdiff_calls.append(key)
+            return real_tsdiff(table, key)
+
+        monkeypatch.setattr(encoder_module, "compute_tsdiff", counting_tsdiff)
+        encoded_attrs = []
+        for cls in BASE_CODECS:
+            def counting_encode(self, values, _encode=cls.encode):
+                encoded_attrs.append(self.name)
+                return _encode(self, values)
+
+            monkeypatch.setattr(cls, "encode", counting_encode)
+
+        table = load_dataset("ton", n_records=1500, seed=3)
+        config = SynthesisConfig(epsilon=2.0)
+        config.gum.iterations = 2
+        synth = NetDPSyn(config, rng=7).fit(table)
+        assert len(tsdiff_calls) == 1
+        assert sorted(encoded_attrs) == sorted(synth.encoder.schema.names)
+        assert TSDIFF in encoded_attrs
+
+    @pytest.mark.parametrize("drop_ts", [False, True])
+    def test_fit_encode_matches_fit_then_encode(self, drop_ts):
+        table = load_dataset("ton", n_records=1200, seed=4)
+        if drop_ts:
+            table = table.without_column("ts")
+        one_pass = DatasetEncoder(EncoderConfig())
+        encoded = one_pass.fit_encode(table, 0.05, 11)
+        fitted = DatasetEncoder(EncoderConfig()).fit(table, 0.05, 11)
+        expected = fitted.encode(table)
+        assert (TSDIFF in encoded.attrs) is not drop_ts
+        assert encoded.attrs == expected.attrs
+        assert encoded.data.dtype == expected.data.dtype == np.int32
+        assert encoded.data.flags["C_CONTIGUOUS"]
+        assert encoded.data.tobytes() == expected.data.tobytes()
+        assert encoded.domain == expected.domain
+        for attr in encoded.attrs:
+            assert np.array_equal(
+                one_pass.noisy_one_way[attr], fitted.noisy_one_way[attr]
+            )
+

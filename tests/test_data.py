@@ -135,6 +135,102 @@ class TestTraceTable:
         assert sorted(shuffled["pkt"]) == sorted(small_table["pkt"])
 
 
+def _group_ids_fold(table, names):
+    """The original ``group_ids``: one ``np.unique`` per column, then another
+    per pairwise fold.  Kept as the oracle for the numbering."""
+    if table.n_records == 0:
+        return np.zeros(0, dtype=np.int64)
+    ids = np.zeros(table.n_records, dtype=np.int64)
+    for name in names:
+        _, codes = np.unique(table.column(name), return_inverse=True)
+        codes = codes.astype(np.int64)
+        _, ids = np.unique(ids * (codes.max() + 1) + codes, return_inverse=True)
+        ids = ids.astype(np.int64)
+    return ids
+
+
+def _key_table(columns):
+    kinds = {"O": FieldKind.CATEGORICAL, "f": FieldKind.NUMERIC}
+    fields = tuple(
+        FieldSpec(
+            name,
+            kinds.get(col.dtype.kind, FieldKind.PORT),
+            categories=tuple(dict.fromkeys(col)) if col.dtype == object else None,
+        )
+        for name, col in columns.items()
+    )
+    return TraceTable(Schema(fields=fields, kind="flow"), columns)
+
+
+@pytest.fixture(scope="module")
+def key_table():
+    rng = np.random.default_rng(11)
+    n = 3000
+    floats = rng.choice([0.5, -1.25, 2.0, 0.0, -0.0, np.nan, 7.5], size=n)
+    return _key_table(
+        {
+            "i": rng.integers(0, 40, n),
+            "j": rng.integers(-(2**40), 2**40, n),
+            "f": floats,
+            "s": rng.choice(["tcp", "udp", "icmp", "gre", "Tcp", ""], size=n).astype(object),
+            "t": rng.choice(["a", "b"], size=n).astype(object),
+        }
+    )
+
+
+class TestGroupIdsParity:
+    """``group_ids`` numbers rows exactly like the original pairwise fold."""
+
+    @pytest.mark.parametrize(
+        "names",
+        [("i",), ("f",), ("s",), ("i", "f", "s"), ("s", "i"), ("f", "s", "j", "t"),
+         ("t", "s"), ("j", "i", "f", "t", "s")],
+    )
+    def test_matches_fold(self, key_table, names):
+        ids = key_table.group_ids(names)
+        assert ids.dtype == np.int64
+        assert np.array_equal(ids, _group_ids_fold(key_table, names))
+
+    def test_nan_keys_form_one_group(self, key_table):
+        ids = key_table.group_ids(["f"])
+        nan_rows = np.isnan(key_table.column("f"))
+        assert nan_rows.any() and len(np.unique(ids[nan_rows])) == 1
+
+    def test_flow_key_of_a_dataset(self):
+        from repro.datasets import load_dataset
+
+        table = load_dataset("ton", n_records=4000, seed=2)
+        key = table.schema.effective_flow_key()
+        assert np.array_equal(table.group_ids(key), _group_ids_fold(table, key))
+
+    def test_empty_table(self, key_table):
+        ids = key_table.head(0).group_ids(["i", "s"])
+        assert ids.dtype == np.int64 and ids.shape == (0,)
+
+    def test_cardinality_product_past_2_62(self):
+        rng = np.random.default_rng(5)
+        n = 2000
+        columns = {f"c{k}": rng.integers(0, 10**9, n) for k in range(6)}
+        columns["obj"] = rng.choice(["x", "y", "z"], size=n).astype(object)
+        table = _key_table(columns)
+        cards = [len(np.unique(col)) for col in columns.values()]
+        assert int(np.prod(cards, dtype=object)) > 2**62
+        names = list(columns)
+        assert np.array_equal(table.group_ids(names), _group_ids_fold(table, names))
+
+    def test_mixed_type_object_column_raises(self):
+        table = _key_table(
+            {
+                "i": np.array([1, 2, 3, 4]),
+                "m": np.array(["a", 1, "b", 2], dtype=object),
+            }
+        )
+        with pytest.raises(TypeError):
+            _group_ids_fold(table, ["i", "m"])
+        with pytest.raises(TypeError):
+            table.group_ids(["i", "m"])
+
+
 class TestDomain:
     def test_basic(self):
         d = Domain({"a": 3, "b": 4})

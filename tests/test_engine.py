@@ -203,6 +203,15 @@ class TestBackendEquality:
         sizes = [r.n_records for r in fitted.gum_result.shard_results]
         assert sorted(sizes) == [333, 334, 334]
 
+    def test_more_shards_than_records(self, fitted):
+        # Shard 4 of 4 is empty; its decode must not fail on zero rows.
+        digests = set()
+        for backend in ("serial", "thread", "process"):
+            syn = fitted.sample(3, rng=2, shards=4, backend=backend)
+            assert syn.n_records == 3
+            digests.add(table_digest(syn))
+        assert len(digests) == 1
+
     def test_shard_payloads_dropped_after_merge(self, fitted):
         # Keeping every per-shard matrix alive alongside the merged result
         # used to double peak RSS; only metadata survives the merge.
